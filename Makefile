@@ -28,13 +28,12 @@ race:
 # bench regenerates BENCH.json — the canonical benchmark artifact:
 # Table 1 rows and the per-stage cost matrix (wall/CPU/allocs/bytes per
 # compile stage, target and benchmark) from fppc-bench -json, plus
-# go test -bench on the simulator and service hot paths. The PR-tagged
-# copy records this PR's snapshot; benchdiff and CI read the stable
-# path. bench-all still sweeps every micro-benchmark in the repo
-# without writing the artifact.
+# go test -bench on the simulator and service hot paths. benchdiff and
+# CI read this one stable path; git history keeps earlier snapshots.
+# bench-all still sweeps every micro-benchmark in the repo without
+# writing the artifact.
 bench:
 	$(GO) run ./scripts/benchjson -o BENCH.json
-	cp BENCH.json BENCH_PR10.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

@@ -417,7 +417,14 @@ func runFleetMix(client *http.Client, base string, n int, rate float64) (mixResu
 		}
 		if i == n/2 {
 			// Halfway: wear out the busiest chip so the reconciler has to
-			// migrate its jobs while submissions keep arriving.
+			// migrate its jobs while submissions keep arriving. Placement
+			// is asynchronous, so first let the first half's submissions
+			// land and leave pending; otherwise no chip hosts a job yet
+			// and the wear would hit an empty chip.
+			wg.Wait()
+			if err := awaitSettled(client, base, time.Now().Add(2*time.Minute)); err != nil {
+				return mixResult{}, nil, err
+			}
 			chip, err := degradeBusiest(client, base)
 			if err != nil {
 				return mixResult{}, nil, fmt.Errorf("wear injection: %w", err)
@@ -443,25 +450,8 @@ func runFleetMix(client *http.Client, base string, n int, rate float64) (mixResu
 	}
 	wg.Wait()
 
-	// Let the reconciler settle: every job out of pending (placement is
-	// asynchronous; nothing here advances the virtual clock, so settled
-	// jobs sit in placed or failed).
-	deadline := time.Now().Add(2 * time.Minute)
-	for time.Now().Before(deadline) {
-		jobs, err := fetchJobs(client, base)
-		if err != nil {
-			return mixResult{}, nil, err
-		}
-		pending := 0
-		for _, j := range jobs {
-			if j.State == fleet.JobPending {
-				pending++
-			}
-		}
-		if pending == 0 && len(jobs) > 0 {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := awaitSettled(client, base, time.Now().Add(2*time.Minute)); err != nil {
+		return mixResult{}, nil, err
 	}
 	elapsed := time.Since(start)
 
@@ -498,8 +488,32 @@ func runFleetMix(client *http.Client, base string, n int, rate float64) (mixResu
 	return res, sum, nil
 }
 
+// awaitSettled polls until every submitted job is out of pending or the
+// deadline passes (placement is asynchronous; nothing here advances the
+// virtual clock, so settled jobs sit in placed or failed).
+func awaitSettled(client *http.Client, base string, deadline time.Time) error {
+	for time.Now().Before(deadline) {
+		jobs, err := fetchJobs(client, base)
+		if err != nil {
+			return err
+		}
+		pending := 0
+		for _, j := range jobs {
+			if j.State == fleet.JobPending {
+				pending++
+			}
+		}
+		if pending == 0 && len(jobs) > 0 {
+			return nil
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return nil
+}
+
 // degradeBusiest injects seeded wear into the chip hosting the most
-// jobs and returns its id.
+// jobs and returns its id. It fails when no chip hosts a job, since
+// wearing out an empty chip would force no migration.
 func degradeBusiest(client *http.Client, base string) (string, error) {
 	resp, err := client.Get(base + "/fleet/chips")
 	if err != nil {
@@ -518,6 +532,9 @@ func degradeBusiest(client *http.Client, base string) (string, error) {
 	}
 	if victim == "" {
 		return "", fmt.Errorf("no chips in the fleet")
+	}
+	if best == 0 {
+		return "", fmt.Errorf("no chip hosts a job")
 	}
 	body, _ := json.Marshal(service.FleetDegradeRequest{Chip: victim, Seed: 7})
 	dr, err := client.Post(base+"/debug/fleet/degrade", "application/json", bytes.NewReader(body))

@@ -72,6 +72,11 @@ func TestMemoHitReplaysByteIdentical(t *testing.T) {
 		t.Fatalf("len = %d, want 1", m.Len())
 	}
 	resultsEqual(t, cold, warm)
+	// Beyond the text: the replayed program's storage (cycle index and
+	// chunk) is reflect.DeepEqual to the cold one.
+	if !reflect.DeepEqual(warm.Routing.Program, cold.Routing.Program) {
+		t.Error("memo-hit pin program is not DeepEqual to the cold program")
+	}
 }
 
 // TestMemoHandsOutIsolatedCopies pins the deep-clone contract: a caller

@@ -211,11 +211,51 @@ func contains(s []int, v int) bool {
 // error if the graph is cyclic (ties broken by smallest ID, matching
 // Kahn's algorithm with a min-queue).
 func (a *Assay) TopologicalOrder() ([]int, error) {
-	n := len(a.Nodes)
-	indeg := make([]int, n)
+	if a.identityOrdered() {
+		order := make([]int, len(a.Nodes))
+		for i := range order {
+			order[i] = i
+		}
+		return order, nil
+	}
+	return a.kahnOrder()
+}
+
+// inDegrees returns each node's parent count, indexed by ID.
+func (a *Assay) inDegrees() []int {
+	indeg := make([]int, len(a.Nodes))
 	for _, nd := range a.Nodes {
 		indeg[nd.ID] = len(nd.Parents)
 	}
+	return indeg
+}
+
+// identityOrdered reports whether kahnOrder would return the identity
+// 0..n-1 — the common case, since builders add nodes in dependency
+// order and canonical forms number them topologically, so every parent
+// has a lower ID than its child. It replays Kahn's algorithm in ID
+// order without the heap: node i is the heap's minimum once every lower
+// node is emitted, provided its in-degree has already dropped to zero
+// (or below; kahnOrder pushes a node only when its count reaches zero,
+// so never twice). The check is exact for any input and O(V+E).
+func (a *Assay) identityOrdered() bool {
+	indeg := a.inDegrees()
+	for i, nd := range a.Nodes {
+		if indeg[i] > 0 {
+			return false
+		}
+		for _, c := range nd.Children {
+			indeg[c]--
+		}
+	}
+	return true
+}
+
+// kahnOrder is Kahn's algorithm with a min-heap ready queue, the general
+// path of TopologicalOrder.
+func (a *Assay) kahnOrder() ([]int, error) {
+	n := len(a.Nodes)
+	indeg := a.inDegrees()
 	var ready intMinHeap
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
@@ -241,7 +281,7 @@ func (a *Assay) TopologicalOrder() ([]int, error) {
 }
 
 // intMinHeap is a minimal binary min-heap over node IDs, giving
-// TopologicalOrder its smallest-ID tie-break in O(log n) per pop.
+// kahnOrder its smallest-ID tie-break in O(log n) per pop.
 type intMinHeap []int
 
 func (h *intMinHeap) push(v int) {

@@ -8,6 +8,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -36,17 +37,46 @@ func normalize(a []int) Activation {
 }
 
 // Program is a sequence of cycle activations for a specific chip.
+//
+// Activations are stored in chunks that grow geometrically, so emitting
+// a program costs a few allocations instead of one per cycle. Each
+// activation is a sub-slice of a single chunk (never straddling two),
+// cut with cap == len, and the all-low cycle is nil. Appends only write
+// past the activations already handed out, so an activation never
+// changes once appended.
 type Program struct {
 	cycles []Activation
+	chunk  []int // current chunk: len = slots used, cap = slots allocated
+	first  int   // index of the first cycle stored in chunk
 }
+
+// Chunk sizes in pins: each chunk doubles the previous one, from
+// minChunk up to maxChunk.
+const (
+	minChunk = 256
+	maxChunk = 4096
+)
 
 // Len returns the number of cycles.
 func (p *Program) Len() int { return len(p.cycles) }
 
 // Append adds one cycle driving the given pins (copied, normalized).
 func (p *Program) Append(pins ...int) {
-	cp := append([]int(nil), pins...)
-	p.cycles = append(p.cycles, normalize(cp))
+	if len(pins) == 0 {
+		p.cycles = append(p.cycles, nil)
+		return
+	}
+	if cap(p.chunk)-len(p.chunk) < len(pins) {
+		// slices.Grow rounds the capacity up to the allocator's size
+		// class, so no part of the allocation goes unused.
+		size := min(max(2*cap(p.chunk), minChunk), maxChunk)
+		p.chunk = slices.Grow([]int(nil), max(size, len(pins)))
+		p.first = len(p.cycles)
+	}
+	start := len(p.chunk)
+	act := normalize(append(p.chunk, pins...)[start:])
+	p.chunk = p.chunk[:start+len(act)]
+	p.cycles = append(p.cycles, act[:len(act):len(act)])
 }
 
 // Cycle returns the activation of cycle i. The slice is shared; callers
@@ -54,13 +84,32 @@ func (p *Program) Append(pins ...int) {
 func (p *Program) Cycle(i int) Activation { return p.cycles[i] }
 
 // Clone returns a program that can be appended to independently of the
-// original. The per-cycle activations are shared — they are immutable by
-// the Cycle contract — so a clone is cheap even for long programs.
+// original. Activations in earlier chunks are shared — they are
+// immutable by the Cycle contract — so a clone is cheap even for long
+// programs. Those in a current chunk with spare capacity move to an
+// exact-size copy: a clone held by a cache then keeps no spare capacity
+// alive, and its first Append starts a fresh chunk instead of writing
+// into the original's.
 func (p *Program) Clone() *Program {
 	if p == nil {
 		return nil
 	}
-	return &Program{cycles: append([]Activation(nil), p.cycles...)}
+	c := &Program{
+		cycles: append([]Activation(nil), p.cycles...),
+		chunk:  p.chunk,
+		first:  p.first,
+	}
+	if cap(p.chunk) > len(p.chunk) {
+		c.chunk = append(make([]int, 0, len(p.chunk)), p.chunk...)
+		off := 0
+		for i := p.first; i < len(c.cycles); i++ {
+			if n := len(c.cycles[i]); n > 0 {
+				c.cycles[i] = c.chunk[off : off+n : off+n]
+				off += n
+			}
+		}
+	}
+	return c
 }
 
 // ActiveCells expands an activation into the set of energized electrodes
@@ -126,18 +175,18 @@ func Read(r io.Reader) (*Program, error) {
 	p := &Program{}
 	sc := bufio.NewScanner(r)
 	line := 0
+	var act []int
 	for sc.Scan() {
 		line++
-		fields := strings.Fields(sc.Text())
-		var act []int // stays nil for all-low cycles, matching Append()
-		for _, f := range fields {
+		act = act[:0]
+		for _, f := range strings.Fields(sc.Text()) {
 			v, err := strconv.Atoi(f)
 			if err != nil {
 				return nil, fmt.Errorf("pins: line %d: %v", line, err)
 			}
 			act = append(act, v)
 		}
-		p.cycles = append(p.cycles, normalize(act))
+		p.Append(act...)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 // Package pool provides the bounded worker pool the synthesis pipeline
-// uses to run independent work inside one compile — speculative
-// auto-grow size attempts, scheduler precomputation passes, per-move
-// routing path batches — without unbounded goroutine fan-out.
+// uses to run independent work inside one compile — the scheduler's
+// precomputation passes and the DA router's per-move path batches —
+// without unbounded goroutine fan-out. Both callers use it only when
+// their Workers option exceeds 1 and stay inline otherwise; auto-grow
+// size attempts always run one after another.
 //
 // A Pool is a concurrency limit, not a set of persistent goroutines:
 // Do spawns at most Workers goroutines for the duration of one call and

@@ -1,8 +1,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fppc/internal/arch"
@@ -18,9 +20,12 @@ type Opts struct {
 	Obs *obs.Observer
 	// Workers bounds the concurrency of the scheduler's independent
 	// precomputation passes (priorities, depth ranks, expansion
-	// analysis, droplet enumeration). <= 1 runs them sequentially. The
-	// main list-scheduling loop is inherently sequential either way, so
-	// the schedule is byte-identical for every worker count.
+	// analysis, droplet enumeration). Workers <= 1, the zero value
+	// included, runs them inline on the calling goroutine with no
+	// goroutine set-up, which is what keeps a failed auto-grow size
+	// attempt cheap; only Workers > 1 runs them concurrently. The main
+	// list-scheduling loop is inherently sequential either way, so the
+	// schedule is byte-identical for every worker count.
 	Workers int
 }
 
@@ -161,8 +166,9 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 		return nil, err
 	}
 	// The precomputation passes are independent pure functions of the
-	// (validated) assay; with Workers > 1 they run concurrently. Each
-	// writes only its own slot, so results are identical either way.
+	// (validated) assay; with Workers > 1 they run concurrently, and
+	// otherwise inline. Each writes only its own slot, so results are
+	// identical either way.
 	var (
 		es        *edgeSet
 		prio      []int
@@ -175,10 +181,16 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 		func() { depth = asapFinish(a, topo) },
 		func() { expansion = expansionDispenses(a) },
 	}
-	_ = pool.New(opts.Workers).Do(nil, len(passes), func(i int) error {
-		passes[i]()
-		return nil
-	})
+	if opts.Workers > 1 {
+		_ = pool.New(opts.Workers).Do(nil, len(passes), func(i int) error {
+			passes[i]()
+			return nil
+		})
+	} else {
+		for _, pass := range passes {
+			pass()
+		}
+	}
 	ob := opts.Obs
 	b := &base{
 		assay:       a,
@@ -243,10 +255,6 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 			}
 		}
 	}
-	b.order = make([]int, a.Len())
-	for i := range b.order {
-		b.order[i] = i
-	}
 	if pol.depthOrder {
 		// Ready operations are considered deepest-first (largest ASAP
 		// finish time first): droplet chains already in flight are driven
@@ -256,10 +264,10 @@ func newBase(a *dag.Assay, chip *arch.Chip, pol policy, opts Opts) (*base, error
 		// instead of its width — which is what lets Protein Split 3 run
 		// with ~6 stored droplets (paper section 5.2) rather than one per
 		// branch. Ties break by node id for determinism.
-		sortByDepthDesc(b.order, depth)
+		b.order = depthOrder(depth)
 	} else {
 		// Classic list scheduling: longest remaining duration path first.
-		sortByDepthDesc(b.order, b.prio)
+		b.order = depthOrder(b.prio)
 	}
 	b.orderPos = make([]int32, a.Len())
 	for i, id := range b.order {
@@ -441,18 +449,55 @@ func asapFinish(a *dag.Assay, order []int) []int {
 	return fin
 }
 
-// sortByDepthDesc sorts ids by descending depth then ascending id. The
-// key (depth, id) is a total order, so the result is unique — any
-// correct sort produces the byte-identical ordering the old insertion
-// sort did, at O(n log n) instead of O(n²) per auto-grow attempt.
-func sortByDepthDesc(ids []int, depth []int) {
-	sort.Slice(ids, func(i, j int) bool {
-		x, y := ids[i], ids[j]
-		if depth[x] != depth[y] {
-			return depth[x] > depth[y]
+// depthOrder returns the node ids 0..len(depth)-1 sorted by descending
+// depth, then ascending id. The key is a total order, so the result is
+// unique — any correct sort yields the same byte-identical order. Depths
+// are time-steps whose range is small next to the node count (under 100
+// steps for Protein Split 7's 2,686 nodes), so a stable counting sort
+// over that range does it in O(n + range) once per auto-grow attempt;
+// sparse depths fall back to a comparison sort.
+func depthOrder(depth []int) []int {
+	ids := make([]int, len(depth))
+	if len(depth) == 0 {
+		return ids
+	}
+	lo, hi := depth[0], depth[0]
+	for _, d := range depth {
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	if sparseDepths(len(depth), lo, hi) {
+		for i := range ids {
+			ids[i] = i
 		}
-		return x < y
-	})
+		slices.SortFunc(ids, func(x, y int) int {
+			if c := cmp.Compare(depth[y], depth[x]); c != 0 {
+				return c
+			}
+			return cmp.Compare(x, y)
+		})
+		return ids
+	}
+	// Bucket k holds depth hi-k; next[k] is its next free output slot.
+	// Visiting ids in ascending order keeps each bucket id-sorted.
+	next := make([]int, hi-lo+2)
+	for _, d := range depth {
+		next[hi-d+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
+	for id, d := range depth {
+		ids[next[hi-d]] = id
+		next[hi-d]++
+	}
+	return ids
+}
+
+// sparseDepths reports whether n depths spanning [lo, hi] are too spread
+// out for depthOrder's counting sort to beat a comparison sort.
+func sparseDepths(n, lo, hi int) bool {
+	span := hi - lo
+	return span < 0 || span > 4*n+64 // span < 0: the range overflowed
 }
 
 // ready reports whether the node can be considered for starting.

@@ -232,17 +232,53 @@ type edgeSet struct {
 	byCons [][]*droplet // consumer node id -> its input droplets
 }
 
+// newEdgeSet builds the droplets in one slab, numbered producer by
+// producer in child order. byProd and byCons are capped sub-slices of two
+// flat index arrays: a producer's droplets are already contiguous in
+// drops, and a counting pass by consumer lays out each byCons list in
+// droplet order.
 func newEdgeSet(a *dag.Assay) *edgeSet {
-	es := &edgeSet{
-		byProd: make([][]*droplet, a.Len()),
-		byCons: make([][]*droplet, a.Len()),
+	n := a.Len()
+	consStart := make([]int, n+1)
+	edges := 0
+	for _, nd := range a.Nodes {
+		edges += len(nd.Children)
+		for _, c := range nd.Children {
+			consStart[c+1]++
+		}
 	}
-	for _, n := range a.Nodes {
-		for ci, child := range n.Children {
-			d := &droplet{id: len(es.drops), producer: n.ID, consumer: child, childIdx: ci}
-			es.drops = append(es.drops, d)
-			es.byProd[n.ID] = append(es.byProd[n.ID], d)
-			es.byCons[child] = append(es.byCons[child], d)
+	for i := 1; i <= n; i++ {
+		consStart[i] += consStart[i-1]
+	}
+	slab := make([]droplet, edges)
+	es := &edgeSet{
+		drops:  make([]*droplet, edges),
+		byProd: make([][]*droplet, n),
+		byCons: make([][]*droplet, n),
+	}
+	cons := make([]*droplet, edges)
+	next := consStart[:n] // consumer id -> next free slot in cons
+	id := 0
+	for _, nd := range a.Nodes {
+		first := id
+		for ci, child := range nd.Children {
+			d := &slab[id]
+			*d = droplet{id: id, producer: nd.ID, consumer: child, childIdx: ci}
+			es.drops[id] = d
+			cons[next[child]] = d
+			next[child]++
+			id++
+		}
+		if id > first {
+			es.byProd[nd.ID] = es.drops[first:id:id]
+		}
+	}
+	// next[c] now ends consumer c's run, which starts where c-1's ends.
+	lo := 0
+	for c := 0; c < n; c++ {
+		if hi := next[c]; hi > lo {
+			es.byCons[c] = cons[lo:hi:hi]
+			lo = hi
 		}
 	}
 	return es

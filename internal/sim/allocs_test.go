@@ -1,42 +1,11 @@
 package sim_test
 
 import (
-	"bufio"
-	"os"
-	"strconv"
-	"strings"
 	"testing"
 
+	"fppc/internal/allocfloor"
 	"fppc/internal/sim"
 )
-
-// allocCeiling reads one named ceiling from scripts/allocs_floor.txt —
-// the allocation ratchet committed next to the coverage floor.
-func allocCeiling(t *testing.T, name string) float64 {
-	t.Helper()
-	f, err := os.Open("../../scripts/allocs_floor.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				t.Fatalf("allocs_floor.txt: bad ceiling %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	t.Fatalf("allocs_floor.txt: no ceiling named %q", name)
-	return 0
-}
 
 // TestAllocsCeilingSimReplay is the simulator half of the allocation
 // ratchet: a full physics replay of the compiled PCR program must stay
@@ -45,7 +14,7 @@ func allocCeiling(t *testing.T, name string) float64 {
 // so the count is dominated by per-droplet events (dispense, split,
 // merge) — a regression means a per-cycle allocation returned.
 func TestAllocsCeilingSimReplay(t *testing.T) {
-	ceiling := allocCeiling(t, "sim_replay_pcr")
+	ceiling := allocfloor.Ceiling(t, "sim_replay_pcr")
 	res := compileBenchProgram(t)
 	allocs := testing.AllocsPerRun(10, func() {
 		if _, err := sim.Run(res.Chip, res.Routing.Program, res.Routing.Events); err != nil {
