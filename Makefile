@@ -66,9 +66,11 @@ cover:
 cover-update:
 	sh scripts/coverage.sh -update
 
-# golden regenerates the golden corpora — the oracle's pristine traces
-# and the degraded-chip (fault-aware) compiles; CI fails if the result
-# differs from what is checked in.
+# golden regenerates the golden corpora — the oracle's pristine traces,
+# the degraded-chip (fault-aware) compiles, and the replay identity
+# gate (every oracle Report field and simulator trace summary, pristine
+# and under injected faults); CI fails if the result differs from what
+# is checked in.
 golden:
-	$(GO) test ./internal/oracle -run TestGoldenTraces -update
-	$(GO) test ./internal/faults -run TestGoldenDegraded -update
+	$(GO) test ./internal/oracle -run 'TestGoldenTraces|TestReplayIdentity' -update
+	$(GO) test ./internal/faults -run 'TestGoldenDegraded|TestReplayIdentityFaults' -update

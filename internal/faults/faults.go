@@ -32,9 +32,11 @@
 package faults
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -310,40 +312,63 @@ func (s *Set) deadCell(chip *arch.Chip, c grid.Cell) bool {
 	return e != nil && s.dead[e.Pin]
 }
 
-// Transform perturbs the energized-electrode frame to what the faulted
-// hardware actually does: stuck-open cells and cells on dead pins never
-// energize; stuck-closed cells always do. Implements sim.Injector and
-// half of oracle.FaultInjector.
-func (s *Set) Transform(chip *arch.Chip, active map[grid.Cell]bool) {
+// Transform perturbs the energized-electrode set, in place, to what the
+// faulted hardware actually does: stuck-open cells and cells on dead
+// pins never energize; stuck-closed cells always do. Implements
+// sim.Injector and part of oracle.FaultInjector; it does not allocate.
+func (s *Set) Transform(chip *arch.Chip, active *grid.CellSet) {
 	for c := range s.open {
-		delete(active, c)
+		active.Remove(c)
 	}
 	for pin := range s.dead {
 		for _, c := range chip.PinCells(pin) {
-			delete(active, c)
+			active.Remove(c)
 		}
 	}
 	for c := range s.closed {
 		if chip.ElectrodeAt(c) != nil {
-			active[c] = true
+			active.Add(c)
 		}
 	}
 }
 
-// Refused reports the electrodes the activation commands that cannot
-// energize: stuck-open cells whose pin is driven, and every cell of a
-// driven dead pin. Results are in (y,x) order for determinism.
-func (s *Set) Refused(chip *arch.Chip, act pins.Activation) []oracle.FaultPoint {
-	var out []oracle.FaultPoint
-	for _, pin := range act {
-		for _, c := range chip.PinCells(pin) {
-			if s.dead[pin] || s.open[c] {
-				out = append(out, oracle.FaultPoint{Cell: c, Pin: pin})
+// Refused appends to dst the electrodes the activation commands that
+// cannot energize: every cell of a driven dead pin, and stuck-open cells
+// whose pin is driven — once per time the frame lists the pin. Results
+// are in (y,x) order for determinism. It walks the faults rather than
+// the driven pins' electrodes, so a frame costs a few comparisons per
+// fault and no allocation once dst has grown.
+func (s *Set) Refused(chip *arch.Chip, act pins.Activation, dst []oracle.FaultPoint) []oracle.FaultPoint {
+	start := len(dst)
+	for pin := range s.dead {
+		for n := count(act, pin); n > 0; n-- {
+			for _, c := range chip.PinCells(pin) {
+				dst = append(dst, oracle.FaultPoint{Cell: c, Pin: pin})
 			}
 		}
 	}
-	sortPoints(out)
-	return out
+	for c := range s.open {
+		e := chip.ElectrodeAt(c)
+		if e == nil || s.dead[e.Pin] {
+			continue // unwired, or already reported with its dead pin
+		}
+		for n := count(act, e.Pin); n > 0; n-- {
+			dst = append(dst, oracle.FaultPoint{Cell: c, Pin: e.Pin})
+		}
+	}
+	sortPoints(dst[start:])
+	return dst
+}
+
+// count reports how many times the frame lists the pin.
+func count(act pins.Activation, pin int) int {
+	n := 0
+	for _, p := range act {
+		if p == pin {
+			n++
+		}
+	}
+	return n
 }
 
 // StuckOn reports the stuck-closed electrodes present on the chip, in
@@ -360,11 +385,11 @@ func (s *Set) StuckOn(chip *arch.Chip) []oracle.FaultPoint {
 }
 
 func sortPoints(ps []oracle.FaultPoint) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Cell.Y != ps[j].Cell.Y {
-			return ps[i].Cell.Y < ps[j].Cell.Y
+	slices.SortFunc(ps, func(a, b oracle.FaultPoint) int {
+		if a.Cell.Y != b.Cell.Y {
+			return cmp.Compare(a.Cell.Y, b.Cell.Y)
 		}
-		return ps[i].Cell.X < ps[j].Cell.X
+		return cmp.Compare(a.Cell.X, b.Cell.X)
 	})
 }
 

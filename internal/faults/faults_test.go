@@ -153,26 +153,27 @@ func TestTransformSemantics(t *testing.T) {
 		Fault{Kind: DeadPin, Pin: deadPin},
 	)
 
-	active := map[grid.Cell]bool{openCell: true}
+	active := grid.NewCellSet(chip.W, chip.H)
+	active.Add(openCell)
 	for _, c := range chip.PinCells(deadPin) {
-		active[c] = true
+		active.Add(c)
 	}
 	s.Transform(chip, active)
-	if active[openCell] {
+	if active.Has(openCell) {
 		t.Error("stuck-open cell still active after Transform")
 	}
 	for _, c := range chip.PinCells(deadPin) {
-		if active[c] {
+		if active.Has(c) {
 			t.Errorf("dead-pin cell %v still active after Transform", c)
 		}
 	}
-	if !active[closedCell] {
+	if !active.Has(closedCell) {
 		t.Error("stuck-closed cell not active after Transform")
 	}
 
 	// Refused reports the commanded-but-dead electrodes, once per cell.
 	openPin := chip.ElectrodeAt(openCell).Pin
-	ref := s.Refused(chip, pins.Activation{openPin, deadPin})
+	ref := s.Refused(chip, pins.Activation{openPin, deadPin}, nil)
 	seen := map[grid.Cell]bool{}
 	for _, p := range ref {
 		seen[p.Cell] = true
@@ -185,7 +186,7 @@ func TestTransformSemantics(t *testing.T) {
 			t.Errorf("Refused missing dead-pin cell %v", c)
 		}
 	}
-	if got := s.Refused(chip, pins.Activation{}); len(got) != 0 {
+	if got := s.Refused(chip, pins.Activation{}, nil); len(got) != 0 {
 		t.Errorf("Refused with idle frame = %v, want none", got)
 	}
 

@@ -51,13 +51,20 @@ func compileKey(fp string, spec ChipSpec, faultSpec string) string {
 
 // compileFor synthesizes the assay for the chip (or returns the
 // memoized outcome). The fault set must be the one faultSpec renders.
+// A caller that finds the compile already in flight waits for it only
+// as long as its own context allows: on expiry it gets an uncached
+// canceled outcome, and the compile carries on for its leader.
 func (f *Fleet) compileFor(ctx context.Context, assay *dag.Assay, fp string, spec ChipSpec, set *faults.Set, faultSpec string) *compiled {
 	key := compileKey(fp, spec, faultSpec)
 	f.compiles.mu.Lock()
 	if e := f.compiles.entries[key]; e != nil {
 		f.compiles.mu.Unlock()
-		<-e.done
-		return e
+		select {
+		case <-e.done:
+			return e
+		case <-ctx.Done():
+			return &compiled{err: fmt.Errorf("fleet: waiting for an in-flight compile: %w", ctx.Err())}
+		}
 	}
 	e := &compiled{done: make(chan struct{})}
 	f.compiles.entries[key] = e

@@ -3,9 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"fppc/internal/arch"
 	"fppc/internal/assays"
@@ -198,5 +200,71 @@ func TestFailedOps(t *testing.T) {
 		if got != c.want {
 			t.Errorf("progress %d: got %s, want %s", c.progress, got, c.want)
 		}
+	}
+}
+
+// TestCompileForFollowerHonorsDeadline pins the singleflight wait: a
+// caller that finds a compile in flight must give up when its own
+// context expires, even while the leader is still compiling, and get an
+// uncached canceled outcome. Once the leader finishes, later callers
+// share its result.
+func TestCompileForFollowerHonorsDeadline(t *testing.T) {
+	f, err := New(Config{Chips: []ChipSpec{{ID: "c0"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, err := assays.PCR(assays.DefaultTiming()).Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := canon.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := f.chips["c0"]
+	key := compileKey(fp, c.spec, c.effSpec)
+
+	// A slow leader: it registers the in-flight entry, then finishes
+	// once the follower has returned (or after two seconds, so a
+	// follower that ignores its deadline fails instead of hanging).
+	leader := &compiled{done: make(chan struct{})}
+	f.compiles.mu.Lock()
+	f.compiles.entries[key] = leader
+	f.compiles.mu.Unlock()
+	followerDone := make(chan struct{})
+	go func() {
+		select {
+		case <-followerDone:
+		case <-time.After(2 * time.Second):
+		}
+		leader.err = errors.New("leader outcome")
+		close(leader.done)
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	got := f.compileFor(ctx, canon, fp, c.spec, c.effective, c.effSpec)
+	waited := time.Since(start)
+	close(followerDone)
+	if got == leader {
+		t.Fatal("follower returned the leader's entry before the leader finished")
+	}
+	if got.err == nil || !isCanceled(got.err) {
+		t.Fatalf("follower outcome error = %v, want a canceled error", got.err)
+	}
+	if waited > time.Second {
+		t.Fatalf("follower waited %v past its 20ms deadline", waited)
+	}
+	f.compiles.mu.Lock()
+	cached := f.compiles.entries[key]
+	f.compiles.mu.Unlock()
+	if cached != leader {
+		t.Fatal("the follower's canceled outcome replaced the leader's cache entry")
+	}
+
+	// With the leader done, a live caller shares its outcome.
+	if again := f.compileFor(context.Background(), canon, fp, c.spec, c.effective, c.effSpec); again != leader {
+		t.Fatal("a caller after the leader finished did not share its outcome")
 	}
 }

@@ -196,3 +196,79 @@ func (r Rect) Intersects(o Rect) bool {
 func (r Rect) String() string {
 	return fmt.Sprintf("[%d,%d %d,%d)", r.X0, r.Y0, r.X1, r.Y1)
 }
+
+// CellSet is a dense set of cells on a W×H array, indexed y*W+x, for
+// replay loops that rebuild a set every cycle. Reset empties it in O(1)
+// by bumping a generation stamp instead of clearing the table. Cells
+// off the array are kept in a small side list, so the set answers
+// exactly like a map[Cell]bool for any cell, including the out-of-bounds
+// neighbours of edge cells.
+//
+// The zero value is an empty set on a 0×0 array; NewCellSet sizes it.
+type CellSet struct {
+	w, h    int
+	gen     uint32   // current generation; 0 only in the zero value
+	stamp   []uint32 // cell index -> generation that last added it
+	outside []Cell   // members off the array, in insertion order
+}
+
+// NewCellSet returns an empty set over a w×h array.
+func NewCellSet(w, h int) *CellSet {
+	return &CellSet{w: w, h: h, gen: 1, stamp: make([]uint32, w*h)}
+}
+
+func (s *CellSet) index(c Cell) (int, bool) {
+	if c.X < 0 || c.X >= s.w || c.Y < 0 || c.Y >= s.h {
+		return 0, false
+	}
+	return c.Y*s.w + c.X, true
+}
+
+// Reset empties the set. When the generation counter wraps, the stamp
+// table is zeroed once so no stale stamp can alias the new generation.
+func (s *CellSet) Reset() {
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamp)
+		s.gen = 1
+	}
+	s.outside = s.outside[:0]
+}
+
+// Has reports whether c is in the set.
+func (s *CellSet) Has(c Cell) bool {
+	if i, ok := s.index(c); ok {
+		return s.stamp[i] == s.gen
+	}
+	for _, o := range s.outside {
+		if o == c {
+			return true
+		}
+	}
+	return false
+}
+
+// Add inserts c.
+func (s *CellSet) Add(c Cell) {
+	if i, ok := s.index(c); ok {
+		s.stamp[i] = s.gen
+		return
+	}
+	if !s.Has(c) {
+		s.outside = append(s.outside, c)
+	}
+}
+
+// Remove deletes c.
+func (s *CellSet) Remove(c Cell) {
+	if i, ok := s.index(c); ok {
+		s.stamp[i] = 0
+		return
+	}
+	for i, o := range s.outside {
+		if o == c {
+			s.outside = append(s.outside[:i], s.outside[i+1:]...)
+			return
+		}
+	}
+}

@@ -16,12 +16,15 @@
 package oracle
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"fppc/internal/arch"
 	"fppc/internal/dag"
@@ -190,13 +193,15 @@ type FaultPoint struct {
 }
 
 // FaultInjector is the oracle's view of a hardware fault set. Transform
-// rewrites a cycle's energized set to what the broken chip physically
-// does; Refused lists the electrodes a frame commands that cannot
-// energize (stuck-open cells, dead pin drivers); StuckOn lists the
-// electrodes that are energized no matter what is driven.
+// rewrites a cycle's energized set, in place, to what the broken chip
+// physically does; Refused appends to dst the electrodes a frame
+// commands that cannot energize (stuck-open cells, dead pin drivers),
+// in (y,x) order; StuckOn lists the electrodes that are energized no
+// matter what is driven, in (y,x) order. The replay calls StuckOn once
+// and the other two every cycle, so they should not allocate.
 type FaultInjector interface {
-	Transform(chip *arch.Chip, active map[grid.Cell]bool)
-	Refused(chip *arch.Chip, act pins.Activation) []FaultPoint
+	Transform(chip *arch.Chip, active *grid.CellSet)
+	Refused(chip *arch.Chip, act pins.Activation, dst []FaultPoint) []FaultPoint
 	StuckOn(chip *arch.Chip) []FaultPoint
 }
 
@@ -218,11 +223,14 @@ func (b *blob) covers(c grid.Cell) bool {
 	return false
 }
 
-// verifier carries replay state.
+// verifier carries replay state. Everything rebuilt per cycle lives in
+// dense per-chip tables or reused scratch, so the steady-state replay
+// loop does not allocate.
 type verifier struct {
 	chip     *arch.Chip
 	pinCells [][]grid.Cell // pin id -> electrode cells, rebuilt from the wiring
 	blobs    []*blob
+	spare    []*blob // step's next-generation list, swapped with blobs
 	nextID   int
 	rep      *Report
 	opts     Options
@@ -230,14 +238,31 @@ type verifier struct {
 
 	// justify collects the cells that legitimize activations this
 	// cycle: every live droplet cell plus cells vacated by this cycle's
-	// output events.
-	justify map[grid.Cell]bool
+	// output events. active is the cycle's energized set.
+	justify *grid.CellSet
+	active  *grid.CellSet
+
+	// reach scratch: the energized candidates found so far.
+	pulls []grid.Cell
+
+	// hashFootprint scratch: one blob's sorted cells, the cycle's blob
+	// renderings back to back with each one's [start, end) in fpBuf,
+	// and the cycle's digest input.
+	cells   []grid.Cell
+	fpBuf   []byte
+	fpSpans [][2]int
+	fpIn    []byte
+
+	// refused is Refused's scratch; stuckOn holds the injector's
+	// stuck-closed electrodes, fixed for the replay.
+	refused []FaultPoint
+	stuckOn []FaultPoint
 
 	// refusedSeen/stuckSeen deduplicate fault findings: each faulted
 	// electrode is reported at most once per replay, so a dead bus-phase
 	// pin does not exhaust the violation budget by itself.
-	refusedSeen map[grid.Cell]bool
-	stuckSeen   map[grid.Cell]bool
+	refusedSeen *grid.CellSet
+	stuckSeen   *grid.CellSet
 }
 
 // Verify replays the program's pin frames on the chip and returns the
@@ -248,36 +273,43 @@ func Verify(chip *arch.Chip, prog *pins.Program, events []router.Event, opts Opt
 	if opts.MaxViolations <= 0 {
 		opts.MaxViolations = 32
 	}
-	v := &verifier{chip: chip, rep: &Report{}, opts: opts, fp: sha256.New()}
+	v := &verifier{
+		chip: chip, rep: &Report{}, opts: opts, fp: sha256.New(),
+		justify: grid.NewCellSet(chip.W, chip.H),
+		active:  grid.NewCellSet(chip.W, chip.H),
+	}
 	v.buildPinMap()
 	if opts.Faults != nil {
-		v.refusedSeen = map[grid.Cell]bool{}
-		v.stuckSeen = map[grid.Cell]bool{}
+		v.refusedSeen = grid.NewCellSet(chip.W, chip.H)
+		v.stuckSeen = grid.NewCellSet(chip.W, chip.H)
+		if !opts.KnownFaults {
+			v.stuckOn = opts.Faults.StuckOn(chip)
+		}
 	}
 	opts.Collector.BindChip(chip)
 	evIdx := 0
 	cyc := 0
 	for ; cyc < prog.Len(); cyc++ {
-		v.justify = make(map[grid.Cell]bool)
+		v.justify.Reset()
 		for evIdx < len(events) && events[evIdx].Cycle == cyc {
 			v.applyEvent(cyc, events[evIdx])
 			evIdx++
 		}
 		for _, b := range v.blobs {
 			for _, c := range b.cells {
-				v.justify[c] = true
+				v.justify.Add(c)
 			}
 		}
 		act := prog.Cycle(cyc)
-		active := v.activeCells(cyc, act)
+		v.activeCells(cyc, act)
 		if !opts.DisableSpuriousCheck {
 			v.checkSpurious(cyc, act)
 		}
 		if opts.Faults != nil {
-			v.injectFaults(cyc, act, active)
+			v.injectFaults(cyc, act)
 		}
 		opts.Collector.Frame(act)
-		v.step(cyc, active)
+		v.step(cyc)
 		v.mergePass(cyc)
 		if opts.Collector != nil {
 			for _, b := range v.blobs {
@@ -305,25 +337,66 @@ func Verify(chip *arch.Chip, prog *pins.Program, events []router.Event, opts Opt
 }
 
 // hashFootprint folds this cycle's droplet footprints into the running
-// digest, ID-independently: each blob renders as its sorted cells plus
-// volume, and the renderings are hashed in sorted order.
+// digest, ID-independently: each blob renders as its cells sorted by
+// (y,x) plus its volume, and the renderings are hashed in byte order.
+// The digest input for a cycle is
+//
+//	c<cycle>:<blob>;<blob>;...
+//
+// with each blob rendered as "[(x,y) (x,y)]@<volume>", the volume in
+// %.9g form — the bytes fmt's "%v@%.9g" produces for a []grid.Cell and
+// a float64, which earlier releases hashed, so digests stay comparable
+// across versions. The renderings go into reused buffers; nothing is
+// allocated in the steady state.
 func (v *verifier) hashFootprint(cyc int) {
-	lines := make([]string, 0, len(v.blobs))
+	buf, spans := v.fpBuf[:0], v.fpSpans[:0]
 	for _, b := range v.blobs {
-		cells := append([]grid.Cell(nil), b.cells...)
-		sort.Slice(cells, func(i, j int) bool {
-			if cells[i].Y != cells[j].Y {
-				return cells[i].Y < cells[j].Y
-			}
-			return cells[i].X < cells[j].X
-		})
-		lines = append(lines, fmt.Sprintf("%v@%.9g", cells, b.volume))
+		v.cells = append(v.cells[:0], b.cells...)
+		sortCells(v.cells)
+		start := len(buf)
+		buf = appendFootprint(buf, v.cells, b.volume)
+		spans = append(spans, [2]int{start, len(buf)})
 	}
-	sort.Strings(lines)
-	fmt.Fprintf(v.fp, "c%d:", cyc)
-	for _, l := range lines {
-		fmt.Fprint(v.fp, l, ";")
+	slices.SortFunc(spans, func(a, b [2]int) int {
+		return bytes.Compare(buf[a[0]:a[1]], buf[b[0]:b[1]])
+	})
+	in := append(v.fpIn[:0], 'c')
+	in = strconv.AppendInt(in, int64(cyc), 10)
+	in = append(in, ':')
+	for _, sp := range spans {
+		in = append(in, buf[sp[0]:sp[1]]...)
+		in = append(in, ';')
 	}
+	v.fp.Write(in)
+	v.fpBuf, v.fpSpans, v.fpIn = buf, spans, in
+}
+
+// sortCells orders a footprint by (y,x).
+func sortCells(cells []grid.Cell) {
+	slices.SortFunc(cells, func(a, b grid.Cell) int {
+		if a.Y != b.Y {
+			return cmp.Compare(a.Y, b.Y)
+		}
+		return cmp.Compare(a.X, b.X)
+	})
+}
+
+// appendFootprint appends one blob's digest rendering: the cells as
+// "[(x,y) (x,y)]", then '@' and the volume in %.9g form.
+func appendFootprint(dst []byte, cells []grid.Cell, volume float64) []byte {
+	dst = append(dst, '[')
+	for i, c := range cells {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = append(dst, '(')
+		dst = strconv.AppendInt(dst, int64(c.X), 10)
+		dst = append(dst, ',')
+		dst = strconv.AppendInt(dst, int64(c.Y), 10)
+		dst = append(dst, ')')
+	}
+	dst = append(dst, ']', '@')
+	return strconv.AppendFloat(dst, volume, 'g', 9, 64)
 }
 
 // buildPinMap derives pin -> cells from the electrode table, on purpose
@@ -354,7 +427,7 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 			}
 		}
 		v.blobs = append(v.blobs, &blob{
-			id: v.nextID, cells: []grid.Cell{ev.Cell}, volume: 1,
+			id: v.nextID, cells: append(make([]grid.Cell, 0, 2), ev.Cell), volume: 1,
 			solute: map[string]float64{ev.Fluid: 1},
 		})
 		v.nextID++
@@ -366,7 +439,7 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 				v.rep.Outputs++
 				v.rep.VolumeOut += b.volume
 				for _, c := range b.cells {
-					v.justify[c] = true // port actuation this cycle is not spurious
+					v.justify.Add(c) // port actuation this cycle is not spurious
 				}
 				v.blobs = append(v.blobs[:i], v.blobs[i+1:]...)
 				return
@@ -380,10 +453,10 @@ func (v *verifier) applyEvent(cyc int, ev router.Event) {
 	}
 }
 
-// activeCells expands the frame's pin list into energized electrode
-// positions using the oracle's own wiring map.
-func (v *verifier) activeCells(cyc int, act pins.Activation) map[grid.Cell]bool {
-	out := make(map[grid.Cell]bool)
+// activeCells expands the frame's pin list into the energized electrode
+// set (v.active) using the oracle's own wiring map.
+func (v *verifier) activeCells(cyc int, act pins.Activation) {
+	v.active.Reset()
 	for _, pin := range act {
 		if pin <= 0 || pin >= len(v.pinCells) {
 			v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Pin: pin,
@@ -391,10 +464,9 @@ func (v *verifier) activeCells(cyc int, act pins.Activation) map[grid.Cell]bool 
 			continue
 		}
 		for _, c := range v.pinCells[pin] {
-			out[c] = true
+			v.active.Add(c)
 		}
 	}
-	return out
 }
 
 // checkSpurious flags pins whose electrodes are all out of reach of
@@ -413,12 +485,12 @@ func (v *verifier) checkSpurious(cyc int, act pins.Activation) {
 			// On a justify cell or cardinally adjacent to one: only there
 			// can the activation move fluid (diagonal neighbours exert no
 			// pull), so anything farther is wasted actuation.
-			if v.justify[c] {
+			if v.justify.Has(c) {
 				justified = true
 				break
 			}
 			for _, n := range c.Neighbors4() {
-				if v.justify[n] {
+				if v.justify.Has(n) {
 					justified = true
 					break cells
 				}
@@ -441,44 +513,39 @@ func (v *verifier) checkSpurious(cyc int, act pins.Activation) {
 // droplet physics runs, so physics-level consequences (lost droplets,
 // overpulls near a stuck-closed cell) surface through the ordinary
 // invariants.
-func (v *verifier) injectFaults(cyc int, act pins.Activation, active map[grid.Cell]bool) {
-	for _, p := range v.opts.Faults.Refused(v.chip, act) {
-		if v.refusedSeen[p.Cell] {
+func (v *verifier) injectFaults(cyc int, act pins.Activation) {
+	v.refused = v.opts.Faults.Refused(v.chip, act, v.refused[:0])
+	for _, p := range v.refused {
+		if v.refusedSeen.Has(p.Cell) {
 			continue
 		}
 		if v.opts.KnownFaults && !v.nearJustified(p.Cell) {
 			continue
 		}
-		v.refusedSeen[p.Cell] = true
+		v.refusedSeen.Add(p.Cell)
 		v.flag(Violation{Kind: RefusedActuation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
 			Msg: fmt.Sprintf("pin %d driven but electrode %v cannot energize (stuck-open or dead driver)", p.Pin, p.Cell)})
 	}
-	if !v.opts.KnownFaults {
-		driven := make(map[int]bool, len(act))
-		for _, pin := range act {
-			driven[pin] = true
+	for _, p := range v.stuckOn { // empty in known-faults mode
+		if v.stuckSeen.Has(p.Cell) || slices.Contains(act, p.Pin) {
+			continue
 		}
-		for _, p := range v.opts.Faults.StuckOn(v.chip) {
-			if v.stuckSeen[p.Cell] || driven[p.Pin] {
-				continue
-			}
-			v.stuckSeen[p.Cell] = true
-			v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
-				Msg: fmt.Sprintf("electrode %v energized while pin %d is idle: stuck-closed", p.Cell, p.Pin)})
-		}
+		v.stuckSeen.Add(p.Cell)
+		v.flag(Violation{Kind: SpuriousActivation, Cycle: cyc, Droplet: -1, Cell: p.Cell, Pin: p.Pin,
+			Msg: fmt.Sprintf("electrode %v energized while pin %d is idle: stuck-closed", p.Cell, p.Pin)})
 	}
-	v.opts.Faults.Transform(v.chip, active)
+	v.opts.Faults.Transform(v.chip, v.active)
 }
 
 // nearJustified reports whether the cell is on, or cardinally adjacent
 // to, a cell that legitimizes actuation this cycle — the only positions
 // where a refusing electrode actually costs the program fluid motion.
 func (v *verifier) nearJustified(c grid.Cell) bool {
-	if v.justify[c] {
+	if v.justify.Has(c) {
 		return true
 	}
 	for _, n := range c.Neighbors4() {
-		if v.justify[n] {
+		if v.justify.Has(n) {
 			return true
 		}
 	}
@@ -486,10 +553,10 @@ func (v *verifier) nearJustified(c grid.Cell) bool {
 }
 
 // step recomputes every droplet's position from the energized set.
-func (v *verifier) step(cyc int, active map[grid.Cell]bool) {
-	var next []*blob
+func (v *verifier) step(cyc int) {
+	next := v.spare[:0]
 	for _, b := range v.blobs {
-		moved, extra := v.advance(cyc, b, active)
+		moved, extra := v.advance(cyc, b)
 		if moved != nil {
 			next = append(next, moved)
 		}
@@ -498,21 +565,21 @@ func (v *verifier) step(cyc int, active map[grid.Cell]bool) {
 			v.rep.Splits++
 		}
 	}
-	v.blobs = next
+	// Swap generations: the old list becomes next cycle's scratch.
+	clear(v.blobs)
+	v.blobs, v.spare = next, v.blobs[:0]
 }
 
 // reach collects the energized electrodes that can act on the blob: its
 // own cells plus cardinal neighbours, deduplicated, in deterministic
-// order (own cells first).
-func (v *verifier) reach(b *blob, active map[grid.Cell]bool) []grid.Cell {
-	seen := map[grid.Cell]bool{}
-	var out []grid.Cell
+// order (own cells first). A candidate met twice is either already in
+// the result or not energized, so deduplicating the result alone gives
+// the same list. The result is scratch, valid until the next call.
+func (v *verifier) reach(b *blob) []grid.Cell {
+	out := v.pulls[:0]
 	add := func(c grid.Cell) {
-		if !seen[c] {
-			seen[c] = true
-			if active[c] {
-				out = append(out, c)
-			}
+		if v.active.Has(c) && !slices.Contains(out, c) {
+			out = append(out, c)
 		}
 	}
 	for _, c := range b.cells {
@@ -523,13 +590,14 @@ func (v *verifier) reach(b *blob, active map[grid.Cell]bool) []grid.Cell {
 			add(n)
 		}
 	}
+	v.pulls = out
 	return out
 }
 
 // advance derives the blob's next footprint. A nil first return drops
 // the blob (after flagging); a non-nil second return is a split half.
-func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, *blob) {
-	pulls := v.reach(b, active)
+func (v *verifier) advance(cyc int, b *blob) (*blob, *blob) {
+	pulls := v.reach(b)
 	switch {
 	case len(pulls) == 0:
 		v.flag(Violation{Kind: DropletLost, Cycle: cyc, Droplet: b.id, Cell: b.cells[0],
@@ -540,7 +608,7 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 			Msg: fmt.Sprintf("droplet %d at %v reached by %d energized electrodes", b.id, b.cells[0], len(pulls))})
 		return nil, nil
 	case len(pulls) == 1:
-		b.cells = []grid.Cell{pulls[0]}
+		b.cells = append(b.cells[:0], pulls[0])
 		return b, nil
 	}
 	// Exactly two energized electrodes in reach.
@@ -550,7 +618,7 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 	switch {
 	case onBody && qOnBody:
 		// Both under the body: hold the stretch.
-		b.cells = []grid.Cell{p, q}
+		b.cells = append(b.cells[:0], p, q)
 		return b, nil
 	case !onBody && !qOnBody:
 		// Neither energized electrode holds the body: the droplet is
@@ -567,7 +635,7 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 	if len(b.cells) == 1 {
 		// A single-cell droplet held by its own electrode and pulled by
 		// a cardinal neighbour stretches across the pair.
-		b.cells = []grid.Cell{keep, pull}
+		b.cells = append(b.cells[:0], keep, pull)
 		return b, nil
 	}
 	// Stretched droplet with one end held and the other half pulled
@@ -578,9 +646,9 @@ func (v *verifier) advance(cyc int, b *blob, active map[grid.Cell]bool) (*blob, 
 		halfSolute[f] = amt / 2
 		b.solute[f] = amt / 2
 	}
-	b.cells = []grid.Cell{keep}
+	b.cells = append(b.cells[:0], keep)
 	b.volume = half
-	other := &blob{id: v.nextID, cells: []grid.Cell{pull}, volume: half, solute: halfSolute}
+	other := &blob{id: v.nextID, cells: append(make([]grid.Cell, 0, 2), pull), volume: half, solute: halfSolute}
 	v.nextID++
 	return b, other
 }

@@ -10,7 +10,6 @@ import (
 	"fppc/internal/arch"
 	"fppc/internal/assays"
 	"fppc/internal/dag"
-	"fppc/internal/placer"
 )
 
 // fppcChip builds an FPPC chip with ports placed for the assay.
@@ -56,22 +55,51 @@ func placeFor(t testing.TB, c *arch.Chip, a *dag.Assay) {
 	}
 }
 
-// checkNoDoubleBooking verifies per-instance op intervals via the placer.
+// interval is a half-open occupancy [start, end) of one module
+// instance.
+type interval struct{ start, end int }
+
+// checkNoDoubleBooking is the reference binding checker: operations
+// bound to the same module instance must occupy disjoint time intervals
+// (the track invariant of the left-edge binding the paper's section 4.2
+// reduces placement to).
 func checkNoDoubleBooking(t *testing.T, s *Schedule) {
 	t.Helper()
-	groups := map[Location][]placer.Interval{}
+	groups := map[Location][]interval{}
 	for _, op := range s.Ops {
 		if op.End > op.Start && op.Loc.Kind != LocOutput {
 			key := op.Loc
 			key.Slot = 0
-			groups[key] = append(groups[key], placer.Interval{Start: op.Start, End: op.End})
+			groups[key] = append(groups[key], interval{op.Start, op.End})
 		}
 	}
 	for loc, ivs := range groups {
-		assign := make([]int, len(ivs))
-		if err := placer.CheckAssignment(ivs, assign); err != nil {
+		if err := checkDisjoint(ivs); err != nil {
 			t.Errorf("location %v double-booked: %v", loc, err)
 		}
+	}
+}
+
+// checkDisjoint reports the first pair of overlapping intervals.
+func checkDisjoint(ivs []interval) error {
+	for i, a := range ivs {
+		for _, b := range ivs[i+1:] {
+			if a.start < b.end && b.start < a.end {
+				return fmt.Errorf("[%d,%d) and [%d,%d) overlap", a.start, a.end, b.start, b.end)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckDisjointCatchesConflict checks the reference checker itself.
+func TestCheckDisjointCatchesConflict(t *testing.T) {
+	if err := checkDisjoint([]interval{{0, 5}, {3, 8}}); err == nil {
+		t.Error("overlapping intervals accepted")
+	}
+	// Touching endpoints do not overlap (half-open).
+	if err := checkDisjoint([]interval{{0, 5}, {5, 9}, {9, 12}}); err != nil {
+		t.Errorf("disjoint intervals rejected: %v", err)
 	}
 }
 

@@ -6,9 +6,10 @@
 // reserves one SSD module as the router's deadlock buffer (section 4.3).
 //
 // The scheduler binds operations to concrete module instances as it goes,
-// always choosing the lowest-numbered free instance — the same assignment
-// the left-edge algorithm [Kurdahi & Parker] produces for the resulting
-// interval sets (verified against placer.LeftEdge in the tests).
+// always choosing the lowest-numbered free instance, in the manner of the
+// left-edge algorithm [Kurdahi & Parker]. The tests check that the binding
+// never double-books an instance: the intervals bound to any one instance
+// are pairwise disjoint (checkNoDoubleBooking in scheduler_test.go).
 //
 // Its output is a fully bound schedule: per-operation start/end time-steps
 // and locations, plus the droplet transfers ("moves") each routing

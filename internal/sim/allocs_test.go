@@ -21,6 +21,7 @@ func TestAllocsCeilingSimReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("sim.Run(PCR) = %.0f allocs/op", allocs)
 	if allocs > ceiling {
 		t.Errorf("sim.Run(PCR) = %.0f allocs/op, ceiling %.0f (scripts/allocs_floor.txt)", allocs, ceiling)
 	}

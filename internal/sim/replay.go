@@ -30,7 +30,7 @@ func NewReplay(chip *arch.Chip, prog *pins.Program, events []router.Event) *Repl
 		chip:   chip,
 		prog:   prog,
 		events: events,
-		st:     &state{chip: chip, trace: &Trace{}},
+		st:     newState(chip),
 	}
 }
 
@@ -74,10 +74,9 @@ func (r *Replay) Step() bool {
 		}
 		r.evIdx++
 	}
-	r.st.activeBuf = pins.ActiveCellsInto(r.chip, r.prog.Cycle(r.cycle), r.st.activeBuf)
-	active := r.st.activeBuf
+	energize(r.st.active, r.chip, r.prog.Cycle(r.cycle))
 	r.st.tc.Frame(r.prog.Cycle(r.cycle))
-	if err := r.st.step(r.cycle, active); err != nil {
+	if err := r.st.step(r.cycle); err != nil {
 		r.err = err
 		return false
 	}
@@ -89,16 +88,16 @@ func (r *Replay) Step() bool {
 // ('O' when stretched or merged beyond unit volume), energized electrodes
 // as '+', idle electrodes as '-', interference regions as spaces.
 func (r *Replay) Frame() string {
-	var active map[grid.Cell]bool
+	active := grid.NewCellSet(r.chip.W, r.chip.H)
 	if r.cycle < r.prog.Len() {
-		active = pins.ActiveCells(r.chip, r.prog.Cycle(r.cycle))
-	} else {
-		active = map[grid.Cell]bool{}
+		energize(active, r.chip, r.prog.Cycle(r.cycle))
 	}
-	droplet := map[grid.Cell]*Droplet{}
+	droplet := make([]*Droplet, r.chip.W*r.chip.H)
 	for _, d := range r.st.drops {
 		for _, c := range d.Cells {
-			droplet[c] = d
+			if i, ok := r.st.cellIndex(c); ok {
+				droplet[i] = d
+			}
 		}
 	}
 	var b strings.Builder
@@ -106,18 +105,17 @@ func (r *Replay) Frame() string {
 		r.cycle, r.prog.Len(), len(r.st.drops), r.st.trace.Merges, r.st.trace.Splits)
 	for y := 0; y < r.chip.H; y++ {
 		for x := 0; x < r.chip.W; x++ {
-			cell := grid.Cell{X: x, Y: y}
-			switch {
-			case droplet[cell] != nil:
-				d := droplet[cell]
+			i := y*r.chip.W + x
+			switch d := droplet[i]; {
+			case d != nil:
 				if len(d.Cells) > 1 || d.Volume > 1 {
 					b.WriteByte('O')
 				} else {
 					b.WriteByte('o')
 				}
-			case r.chip.ElectrodeAt(cell) == nil:
+			case !r.st.hasElec[i]:
 				b.WriteByte(' ')
-			case active[cell]:
+			case active.Has(grid.Cell{X: x, Y: y}):
 				b.WriteByte('+')
 			default:
 				b.WriteByte('-')

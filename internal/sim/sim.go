@@ -19,6 +19,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"fppc/internal/arch"
 	"fppc/internal/grid"
@@ -38,6 +39,10 @@ type Droplet struct {
 	// (in dispense units); Solute sums to Volume. Concentration of fluid
 	// f is Solute[f]/Volume.
 	Solute map[string]float64
+
+	// dominant caches dominantFluid, recomputed whenever the replay
+	// changes Solute, since residue tracking asks for it every cycle.
+	dominant string
 }
 
 // Concentration returns the fraction of the droplet that originated from
@@ -148,9 +153,10 @@ func RunCollected(chip *arch.Chip, prog *pins.Program, events []router.Event, ob
 // droplet physics runs, modeling hardware faults: a stuck-open electrode
 // is removed from the active set even when its pin is driven, a
 // stuck-closed electrode is added even when its pin is idle. The
-// canonical implementation is faults.Set.
+// canonical implementation is faults.Set. Transform runs every cycle on
+// the replay's own dense set, so it should not allocate.
 type Injector interface {
-	Transform(chip *arch.Chip, active map[grid.Cell]bool)
+	Transform(chip *arch.Chip, active *grid.CellSet)
 }
 
 // RunInjected is RunCollected with a hardware fault injector applied to
@@ -163,16 +169,13 @@ func RunInjected(chip *arch.Chip, prog *pins.Program, events []router.Event, ob 
 	sp.ArgInt("cycles", int64(prog.Len()))
 	defer sp.End()
 	tc.BindChip(chip)
-	s := &state{
-		chip:    chip,
-		trace:   &Trace{},
-		tc:      tc,
-		cCycles: ob.Counter("fppc_sim_cycles_total"),
-		cMoves:  ob.Counter("fppc_sim_droplet_moves_total"),
-		cChecks: ob.Counter("fppc_sim_interference_checks_total"),
-		cMerges: ob.Counter("fppc_sim_merges_total"),
-		cSplits: ob.Counter("fppc_sim_splits_total"),
-	}
+	s := newState(chip)
+	s.tc = tc
+	s.cCycles = ob.Counter("fppc_sim_cycles_total")
+	s.cMoves = ob.Counter("fppc_sim_droplet_moves_total")
+	s.cChecks = ob.Counter("fppc_sim_interference_checks_total")
+	s.cMerges = ob.Counter("fppc_sim_merges_total")
+	s.cSplits = ob.Counter("fppc_sim_splits_total")
 	evIdx := 0
 	for cyc := 0; cyc < prog.Len(); cyc++ {
 		for evIdx < len(events) && events[evIdx].Cycle == cyc {
@@ -181,14 +184,13 @@ func RunInjected(chip *arch.Chip, prog *pins.Program, events []router.Event, ob 
 			}
 			evIdx++
 		}
-		s.activeBuf = pins.ActiveCellsInto(chip, prog.Cycle(cyc), s.activeBuf)
-		active := s.activeBuf
+		energize(s.active, chip, prog.Cycle(cyc))
 		if inj != nil {
-			inj.Transform(chip, active)
+			inj.Transform(chip, s.active)
 		}
 		s.cCycles.Inc()
 		s.tc.Frame(prog.Cycle(cyc))
-		if err := s.step(cyc, active); err != nil {
+		if err := s.step(cyc); err != nil {
 			return s.finish(cyc), err
 		}
 	}
@@ -205,23 +207,66 @@ type state struct {
 	trace  *Trace
 	tc     *telemetry.Collector // nil when telemetry is off
 
-	// residue records the dominant fluid last deposited on each cell.
-	residue map[grid.Cell]string
+	// hasElec marks the cells that carry an electrode, indexed y*W+x.
+	hasElec []bool
+
+	// residue records the dominant fluid last deposited on each cell,
+	// indexed y*W+x; dirty marks the cells that have residue at all.
+	// Cells off the array (reachable only through a malformed dispense
+	// event) fall back to residueOff.
+	residue    []string
+	dirty      []bool
+	residueOff map[grid.Cell]string
 
 	// Per-cycle scratch, reused so the replay loop stays allocation-free
 	// on its steady state (pinned by the allocs/op floor in bench_test):
-	// the active-cell set, advance's candidate bookkeeping, and step's
+	// the energized set, advance's candidate bookkeeping, and step's
 	// next-generation droplet list.
-	activeBuf map[grid.Cell]bool
-	seenBuf   map[grid.Cell]bool
-	pullsBuf  []grid.Cell
-	dropsBuf  []*Droplet
+	active   *grid.CellSet
+	pullsBuf []grid.Cell
+	dropsBuf []*Droplet
 
 	cCycles *obs.Counter
 	cMoves  *obs.Counter
 	cChecks *obs.Counter
 	cMerges *obs.Counter
 	cSplits *obs.Counter
+}
+
+// newState sizes a replay's dense per-chip tables.
+func newState(chip *arch.Chip) *state {
+	n := chip.W * chip.H
+	s := &state{
+		chip:    chip,
+		trace:   &Trace{},
+		hasElec: make([]bool, n),
+		residue: make([]string, n),
+		dirty:   make([]bool, n),
+		active:  grid.NewCellSet(chip.W, chip.H),
+	}
+	for _, e := range chip.Electrodes() {
+		s.hasElec[e.Cell.Y*chip.W+e.Cell.X] = true
+	}
+	return s
+}
+
+// energize loads an activation into the energized set.
+func energize(active *grid.CellSet, chip *arch.Chip, act pins.Activation) {
+	active.Reset()
+	for _, pin := range act {
+		for _, c := range chip.PinCells(pin) {
+			active.Add(c)
+		}
+	}
+}
+
+// cellIndex returns c's index in the dense tables, or false off the
+// array.
+func (s *state) cellIndex(c grid.Cell) (int, bool) {
+	if c.X < 0 || c.X >= s.chip.W || c.Y < 0 || c.Y >= s.chip.H {
+		return 0, false
+	}
+	return c.Y*s.chip.W + c.X, true
 }
 
 // apply handles a reservoir event at the start of a cycle.
@@ -238,7 +283,7 @@ func (s *state) apply(cyc int, ev router.Event) error {
 		}
 		s.drops = append(s.drops, &Droplet{
 			ID: s.nextID, Cells: []grid.Cell{ev.Cell}, Volume: 1,
-			Solute: map[string]float64{ev.Fluid: 1},
+			Solute: map[string]float64{ev.Fluid: 1}, dominant: ev.Fluid,
 		})
 		s.nextID++
 		s.trace.Dispenses++
@@ -259,11 +304,12 @@ func (s *state) apply(cyc int, ev router.Event) error {
 	return fmt.Errorf("sim: unknown event kind %d", int(ev.Kind))
 }
 
-// step advances every droplet one actuation cycle.
-func (s *state) step(cyc int, active map[grid.Cell]bool) error {
+// step advances every droplet one actuation cycle under the energized
+// set.
+func (s *state) step(cyc int) error {
 	newDrops := s.dropsBuf[:0]
 	for _, d := range s.drops {
-		moved, extra, err := s.advance(cyc, d, active)
+		moved, extra, err := s.advance(cyc, d)
 		if err != nil {
 			return err
 		}
@@ -291,16 +337,24 @@ func (s *state) step(cyc int, active map[grid.Cell]bool) error {
 // trackResidue updates per-cell residue footprints and counts crossings
 // over foreign residue.
 func (s *state) trackResidue() {
-	if s.residue == nil {
-		s.residue = map[grid.Cell]string{}
-	}
 	for _, d := range s.drops {
-		fluid := dominantFluid(d)
+		fluid := d.dominant
 		for _, c := range d.Cells {
-			if prev, dirty := s.residue[c]; dirty && prev != fluid {
+			i, ok := s.cellIndex(c)
+			if !ok {
+				if s.residueOff == nil {
+					s.residueOff = map[grid.Cell]string{}
+				}
+				if prev, dirty := s.residueOff[c]; dirty && prev != fluid {
+					s.trace.CrossContacts++
+				}
+				s.residueOff[c] = fluid
+				continue
+			}
+			if s.dirty[i] && s.residue[i] != fluid {
 				s.trace.CrossContacts++
 			}
-			s.residue[c] = fluid
+			s.residue[i], s.dirty[i] = fluid, true
 		}
 	}
 }
@@ -319,22 +373,14 @@ func dominantFluid(d *Droplet) string {
 
 // advance computes a droplet's response to the activation pattern. It
 // may return a second droplet when the fluid splits.
-func (s *state) advance(cyc int, d *Droplet, active map[grid.Cell]bool) (*Droplet, *Droplet, error) {
+func (s *state) advance(cyc int, d *Droplet) (*Droplet, *Droplet, error) {
 	// Candidate electrodes: the droplet's own cells and their cardinal
-	// neighbours that carry electrodes.
-	if s.seenBuf == nil {
-		s.seenBuf = map[grid.Cell]bool{}
-	} else {
-		clear(s.seenBuf)
-	}
-	seen := s.seenBuf
+	// neighbours that carry electrodes, deduplicated. A candidate met
+	// twice is either already in pulls or not energized, so checking
+	// pulls alone is enough.
 	pulls := s.pullsBuf[:0]
 	consider := func(c grid.Cell) {
-		if seen[c] {
-			return
-		}
-		seen[c] = true
-		if active[c] && s.chip.ElectrodeAt(c) != nil {
+		if i, ok := s.cellIndex(c); ok && s.hasElec[i] && s.active.Has(c) && !slices.Contains(pulls, c) {
 			pulls = append(pulls, c)
 		}
 	}
@@ -414,7 +460,9 @@ func (s *state) advance(cyc int, d *Droplet, active map[grid.Cell]bool) (*Drople
 			}
 			d.Cells = []grid.Cell{keep}
 			d.Volume = half
+			d.dominant = dominantFluid(d)
 			other := &Droplet{ID: s.nextID, Cells: []grid.Cell{pull}, Volume: half, Solute: halfSolute}
+			other.dominant = dominantFluid(other)
 			s.nextID++
 			s.cMoves.Inc()
 			return d, other, nil
@@ -466,7 +514,9 @@ func coalesce(a, b *Droplet) *Droplet {
 	for f, v := range b.Solute {
 		solute[f] += v
 	}
-	return &Droplet{ID: a.ID, Cells: cells, Volume: a.Volume + b.Volume, Solute: solute}
+	d := &Droplet{ID: a.ID, Cells: cells, Volume: a.Volume + b.Volume, Solute: solute}
+	d.dominant = dominantFluid(d)
+	return d
 }
 
 // finish snapshots the trace.

@@ -35,8 +35,9 @@ type microBench struct {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // benchPackages are the hot paths the artifact tracks: the cycle-level
-// simulator (telemetry on/off overhead) and the compile service.
-var benchPackages = []string{"./internal/sim", "./internal/service"}
+// simulator (telemetry on/off overhead), the oracle replay that verifies
+// every served compile, and the compile service.
+var benchPackages = []string{"./internal/sim", "./internal/oracle", "./internal/service"}
 
 func main() {
 	log.SetFlags(0)
